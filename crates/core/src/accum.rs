@@ -213,11 +213,7 @@ impl SliceAccum {
             .map(|(i, st)| {
                 let site = SiteId(i as u32);
                 let outcomes = evaluate(st, &thresholds, program_accuracy.unwrap_or(1.0));
-                let classification = match outcomes {
-                    None => Classification::Insufficient,
-                    Some(o) if o.predicts_dependent() => Classification::Dependent,
-                    Some(_) => Classification::Independent,
-                };
+                let classification = Classification::from_outcomes(outcomes);
                 BranchStats {
                     site,
                     slices: st.slices(),

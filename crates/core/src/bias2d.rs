@@ -14,7 +14,7 @@
 //! for edges but "weak bias" does.
 
 use crate::report::SeriesData;
-use crate::{BranchStats, Classification, ProfileReport, SliceConfig, TestOutcomes, Thresholds};
+use crate::{BranchStats, Classification, ProfileReport, SliceConfig, Thresholds};
 use btrace::{SiteId, Tracer};
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -157,19 +157,15 @@ impl Bias2DProfiler {
             .iter()
             .enumerate()
             .map(|(i, st)| {
-                let outcomes = st.mean_bias().map(|mb| TestOutcomes {
-                    mean: mb < resolved.unwrap_or(1.0),
-                    std: st.std_rate().expect("n > 0") > thresholds.std,
-                    pam: {
-                        let p = st.pam().expect("n > 0");
-                        p >= thresholds.pam && p <= 1.0 - thresholds.pam
-                    },
+                let outcomes = st.mean_bias().map(|mb| {
+                    thresholds.apply(
+                        mb,
+                        st.std_rate().expect("n > 0"),
+                        st.pam().expect("n > 0"),
+                        program_bias.unwrap_or(1.0),
+                    )
                 });
-                let classification = match outcomes {
-                    None => Classification::Insufficient,
-                    Some(o) if o.predicts_dependent() => Classification::Dependent,
-                    Some(_) => Classification::Independent,
-                };
+                let classification = Classification::from_outcomes(outcomes);
                 BranchStats {
                     site: SiteId(i as u32),
                     slices: st.n,

@@ -19,6 +19,16 @@ pub enum Classification {
 }
 
 impl Classification {
+    /// The verdict for a branch's test outcomes: `Insufficient` without
+    /// data, otherwise the paper's combination rule (Figure 9c).
+    pub fn from_outcomes(outcomes: Option<TestOutcomes>) -> Self {
+        match outcomes {
+            None => Classification::Insufficient,
+            Some(o) if o.predicts_dependent() => Classification::Dependent,
+            Some(_) => Classification::Independent,
+        }
+    }
+
     /// Whether the branch is predicted input-dependent.
     pub fn is_dependent(self) -> bool {
         matches!(self, Classification::Dependent)
@@ -195,6 +205,45 @@ impl ProfileReport {
     /// enabled.
     pub fn overall_series(&self) -> Option<&[(u64, f64)]> {
         self.series.as_ref().map(|s| s.overall.as_slice())
+    }
+
+    /// The same run classified under different `thresholds`: the
+    /// MEAN/STD/PAM tests are re-applied to the stored per-branch mean,
+    /// standard deviation and PAM fraction against the stored program
+    /// accuracy. `finish` derives its verdicts from exactly these values,
+    /// so the result equals re-running the profiler and finishing it with
+    /// `thresholds` — a threshold sweep needs one profiling run, not one
+    /// per setting.
+    #[must_use]
+    pub fn with_thresholds(&self, thresholds: Thresholds) -> ProfileReport {
+        // an empty run never consults the MEAN threshold (every branch is
+        // Insufficient); 1.0 mirrors `finish`'s stand-in
+        let program_accuracy = self.program_accuracy.unwrap_or(1.0);
+        let stats = self
+            .stats
+            .iter()
+            .map(|s| {
+                let outcomes = match (s.mean, s.std_dev, s.pam_fraction) {
+                    (Some(mean), Some(std_dev), Some(pam)) => {
+                        Some(thresholds.apply(mean, std_dev, pam, program_accuracy))
+                    }
+                    _ => None,
+                };
+                BranchStats {
+                    outcomes,
+                    classification: Classification::from_outcomes(outcomes),
+                    ..*s
+                }
+            })
+            .collect();
+        Self {
+            stats,
+            thresholds,
+            resolved_mean_threshold: self.program_accuracy.map(|a| thresholds.resolve_mean(a)),
+            predictor_name: self.predictor_name.clone(),
+            series: self.series.clone(),
+            ..*self
+        }
     }
 
     /// Writes the full report (statistics, thresholds, series) in a compact
@@ -455,6 +504,10 @@ mod tests {
     use btrace::Tracer;
 
     fn sample_report(with_series: bool) -> ProfileReport {
+        sample_report_under(with_series, Thresholds::paper())
+    }
+
+    fn sample_report_under(with_series: bool, thresholds: Thresholds) -> ProfileReport {
         let make = if with_series {
             TwoDProfiler::with_series
         } else {
@@ -467,7 +520,33 @@ mod tests {
             prof.branch(SiteId(1), true);
             // site 2 never executes: exercises the Insufficient path
         }
-        prof.finish(Thresholds::paper())
+        prof.finish(thresholds)
+    }
+
+    #[test]
+    fn with_thresholds_equals_finishing_under_them() {
+        for with_series in [false, true] {
+            let paper = sample_report(with_series);
+            for thresholds in [
+                Thresholds::paper(),
+                Thresholds {
+                    std: 0.0,
+                    pam: 0.0,
+                    ..Thresholds::paper()
+                },
+                Thresholds {
+                    mean: MeanThreshold::Fixed(0.99),
+                    std: f64::MAX,
+                    pam: 0.3,
+                },
+            ] {
+                let mut live = sample_report_under(with_series, thresholds);
+                assert_eq!(paper.with_thresholds(thresholds), live);
+                // and back again
+                live = live.with_thresholds(Thresholds::paper());
+                assert_eq!(live, paper);
+            }
+        }
     }
 
     #[test]

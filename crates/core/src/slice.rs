@@ -53,9 +53,20 @@ impl SliceConfig {
     /// paper's `exec_threshold : slice_len` ratio (1 : 15 000), with floors
     /// that keep tiny runs sane (slice ≥ 500, threshold ≥ 16).
     pub fn auto(total_branches: u64) -> Self {
-        let slice_len = (total_branches / Self::AUTO_TARGET_SLICES).max(500);
-        let exec_threshold = (slice_len / 15_000).max(16).min(slice_len - 1);
-        Self::new(slice_len, exec_threshold)
+        Self::for_len((total_branches / Self::AUTO_TARGET_SLICES).max(500))
+    }
+
+    /// A configuration with the given slice length and the exec threshold
+    /// scaled to it at the paper's ratio (1 : 15 000), floored at 16 and
+    /// kept below `slice_len` — the rule [`auto`](Self::auto) applies to
+    /// the slice length it picks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slice_len` is zero.
+    pub fn for_len(slice_len: u64) -> Self {
+        assert!(slice_len > 0, "slice_len must be positive");
+        Self::new(slice_len, (slice_len / 15_000).max(16).min(slice_len - 1))
     }
 
     /// Number of dynamic branches per slice.
@@ -105,6 +116,23 @@ mod tests {
         let tiny = SliceConfig::auto(100);
         assert_eq!(tiny.slice_len(), 500);
         assert!(tiny.exec_threshold() < tiny.slice_len());
+    }
+
+    #[test]
+    fn for_len_scales_the_threshold_like_auto() {
+        assert_eq!(SliceConfig::for_len(15_000_000), SliceConfig::paper());
+        assert_eq!(SliceConfig::for_len(2_000).exec_threshold(), 16);
+        assert_eq!(SliceConfig::for_len(512_000).exec_threshold(), 34);
+        // the floor never reaches the slice length
+        assert_eq!(SliceConfig::for_len(1).exec_threshold(), 0);
+        assert_eq!(SliceConfig::for_len(10).exec_threshold(), 9);
+        assert_eq!(SliceConfig::auto(2_000_000), SliceConfig::for_len(10_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "slice_len must be positive")]
+    fn for_len_rejects_zero() {
+        let _ = SliceConfig::for_len(0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct Thresholds {
 impl Thresholds {
     /// The paper's thresholds: `MEAN_th` = program accuracy, `STD_th` = 0.04,
     /// `PAM_th` = 0.05.
-    pub fn paper() -> Self {
+    pub const fn paper() -> Self {
         Self {
             mean: MeanThreshold::ProgramAccuracy,
             std: 0.04,

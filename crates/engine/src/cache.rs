@@ -78,7 +78,7 @@ impl JobOutput {
         match kind {
             JobKind::BranchCount => 0,
             JobKind::Accuracy(_) => 1,
-            JobKind::TwoD(_) => 2,
+            JobKind::TwoD(_) | JobKind::TwoDSlice(..) => 2,
             JobKind::Trace => 3,
         }
     }
@@ -210,8 +210,6 @@ impl DiskCache {
     /// Propagates I/O failures (callers typically degrade to warn-and-
     /// continue: a broken cache must not fail a sweep).
     pub fn store(&self, spec: &JobSpec, output: &JobOutput) -> io::Result<()> {
-        let mut buf = Vec::new();
-        write_entry(&mut buf, spec, output)?;
         // unique temp name per thread+spec, then atomic rename: concurrent
         // writers of the same entry race benignly (identical content)
         let tmp = self.root.join(format!(
@@ -219,7 +217,17 @@ impl DiskCache {
             spec.content_hash(),
             std::thread::current().id()
         ));
-        fs::write(&tmp, &buf)?;
+        // stream the entry to the file: buffering a whole entry would hold
+        // a second copy of a multi-megabyte trace payload
+        let written = fs::File::create(&tmp).and_then(|file| {
+            let mut w = io::BufWriter::new(file);
+            write_entry(&mut w, spec, output)?;
+            w.flush()
+        });
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
         match fs::rename(&tmp, self.entry_path(spec)) {
             Ok(()) => Ok(()),
             Err(e) => {

@@ -394,7 +394,9 @@ impl Engine {
     /// Simulations that share a trace are *fused*: the worker decodes the
     /// recorded stream once and feeds every simulation per event, so a
     /// K-predictor sweep pays one generation and one decode per trace
-    /// instead of K of each. After the batch, recorded traces are dropped
+    /// instead of K of each. Fused units start largest first, so a heavily
+    /// loaded trace cannot start last and leave the rest of the pool idle
+    /// at the end of the sweep. After the batch, recorded traces are dropped
     /// from the in-memory memo (the disk cache keeps them) so sweep memory
     /// stays bounded at Full scale.
     pub fn run_jobs(&self, specs: &[JobSpec]) -> Vec<JobResult> {
@@ -419,20 +421,33 @@ impl Engine {
         // (served from the trace header), trace jobs, and memoized results
         // stay singles — their replay path is O(1)
         let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut units: Vec<Unit> = Vec::new();
+        let mut singles: Vec<Unit> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
-            let fusible = matches!(spec.kind, JobKind::Accuracy(_) | JobKind::TwoD(_))
-                && !self.memoized(spec);
+            let fusible = matches!(
+                spec.kind,
+                JobKind::Accuracy(_) | JobKind::TwoD(_) | JobKind::TwoDSlice(..)
+            ) && !self.memoized(spec);
             if fusible {
                 groups
                     .entry(TraceRef::of_spec(spec).spec().content_hash())
                     .or_default()
                     .push(i);
             } else {
-                units.push(Unit::Single(i));
+                singles.push(Unit::Single(i));
             }
         }
-        units.extend(groups.into_values().map(Unit::Fused));
+        // longest first, estimated as events × simulations, so the last
+        // units to start are short ones and the workers finish together
+        let mut fused: Vec<(u64, Vec<usize>)> = groups
+            .into_iter()
+            .map(|(trace_key, idxs)| (self.memo_trace_events(trace_key) * idxs.len() as u64, idxs))
+            .collect();
+        fused.sort_by_key(|(cost, idxs)| (std::cmp::Reverse(*cost), idxs[0]));
+        let units = fused
+            .into_iter()
+            .map(|(_, idxs)| Unit::Fused(idxs))
+            .chain(singles)
+            .collect();
         let results = self.run_pool(specs, units);
         self.release_traces();
         results
@@ -609,11 +624,14 @@ impl Engine {
         let mut sliced: Vec<usize> = Vec::new(); // positions within `pending`
         let mut scalar: Vec<usize> = Vec::new();
         for (p, &i) in pending.iter().enumerate() {
-            let kind = match specs[i].kind {
-                JobKind::Accuracy(kind) | JobKind::TwoD(kind) => kind,
+            let lane_kind = match specs[i].kind {
+                JobKind::Accuracy(kind) | JobKind::TwoD(kind) => Some(kind),
+                // the lane group shares one auto slice configuration across
+                // its 2D jobs, so a slice override takes a scalar slot
+                JobKind::TwoDSlice(..) => None,
                 _ => unreachable!("only simulation jobs are fused"),
             };
-            if self.bitslice && bpred::bitslice::eligible(kind) {
+            if self.bitslice && lane_kind.is_some_and(bpred::bitslice::eligible) {
                 sliced.push(p);
             } else {
                 scalar.push(p);
@@ -654,9 +672,9 @@ impl Engine {
                     JobKind::Accuracy(kind) => kind.host(AccSlotHost {
                         num_sites: trace.num_sites(),
                     }),
-                    JobKind::TwoD(kind) => kind.host(TwoDSlotHost {
+                    JobKind::TwoD(kind) | JobKind::TwoDSlice(kind, _) => kind.host(TwoDSlotHost {
                         num_sites: trace.num_sites(),
-                        events: trace.events(),
+                        config: slice_config(specs[pending[p]].kind, trace.events()),
                     }),
                     _ => unreachable!("only simulation jobs are fused"),
                 })
@@ -677,6 +695,15 @@ impl Engine {
             .into_iter()
             .map(|o| o.expect("every pending job served"))
             .collect()
+    }
+
+    /// Dynamic branch events of a trace in the memo, by the content hash
+    /// of its trace job (0 when it is not in memory).
+    fn memo_trace_events(&self, trace_key: u64) -> u64 {
+        match self.memo.lock().expect("memo lock").get(&trace_key) {
+            Some(JobOutput::Trace(trace)) => trace.events(),
+            _ => 0,
+        }
     }
 
     fn print_progress(&self, done: usize, total: usize, events: u64, elapsed: Duration) {
@@ -755,8 +782,11 @@ impl Engine {
                 self.note_replay();
                 JobOutput::Accuracy(profile.into())
             }
-            JobKind::TwoD(kind) => {
-                let report = kind.host(TwoDReplay(&trace));
+            JobKind::TwoD(kind) | JobKind::TwoDSlice(kind, _) => {
+                let report = kind.host(TwoDReplay {
+                    trace: &trace,
+                    config: slice_config(spec.kind, trace.events()),
+                });
                 self.note_replay();
                 JobOutput::Report(report.into())
             }
@@ -807,6 +837,15 @@ impl Engine {
                 workload.run(&input, &mut profiler);
                 JobOutput::Report(profiler.finish(Thresholds::paper()).into())
             }
+            JobKind::TwoDSlice(kind, len) => {
+                let mut profiler = TwoDProfiler::new(
+                    workload.sites().len(),
+                    kind.build(),
+                    SliceConfig::for_len(len),
+                );
+                workload.run(&input, &mut profiler);
+                JobOutput::Report(profiler.finish(Thresholds::paper()).into())
+            }
             JobKind::Trace => unreachable!("trace jobs are handled by record()"),
         }
     }
@@ -830,6 +869,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
+    }
+}
+
+/// The slice configuration of a 2D job over a run of `events` dynamic
+/// branches: the auto-scaled one, or the job's slice-length override.
+fn slice_config(kind: JobKind, events: u64) -> SliceConfig {
+    match kind {
+        JobKind::TwoDSlice(_, len) => SliceConfig::for_len(len),
+        _ => SliceConfig::auto(events),
     }
 }
 
@@ -903,7 +951,7 @@ impl PredictorHost for AccSlotHost {
 /// slot.
 struct TwoDSlotHost {
     num_sites: usize,
-    events: u64,
+    config: SliceConfig,
 }
 
 impl PredictorHost for TwoDSlotHost {
@@ -913,7 +961,7 @@ impl PredictorHost for TwoDSlotHost {
         Box::new(TwoDSlot(TwoDProfiler::new(
             self.num_sites,
             predictor,
-            SliceConfig::auto(self.events),
+            self.config,
         )))
     }
 }
@@ -975,18 +1023,17 @@ impl PredictorHost for AccuracyReplay<'_> {
 }
 
 /// [`PredictorHost`] twin of [`AccuracyReplay`] for 2D-profiling jobs.
-struct TwoDReplay<'a>(&'a RecordedTrace);
+struct TwoDReplay<'a> {
+    trace: &'a RecordedTrace,
+    config: SliceConfig,
+}
 
 impl PredictorHost for TwoDReplay<'_> {
     type Out = twodprof_core::ProfileReport;
 
     fn run<P: BranchPredictor + 'static>(self, predictor: P) -> Self::Out {
-        let mut profiler = TwoDProfiler::new(
-            self.0.num_sites(),
-            predictor,
-            SliceConfig::auto(self.0.events()),
-        );
-        self.0.replay_into(&mut profiler);
+        let mut profiler = TwoDProfiler::new(self.trace.num_sites(), predictor, self.config);
+        self.trace.replay_into(&mut profiler);
         profiler.finish(Thresholds::paper())
     }
 }
@@ -1149,6 +1196,55 @@ mod tests {
             specs.len() - 1,
             "every simulation was served from the fused replay"
         );
+    }
+
+    #[test]
+    fn slice_overrides_fuse_on_scalar_slots_and_match_live() {
+        let specs = vec![
+            JobSpec::accuracy("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb),
+            JobSpec::two_d("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb),
+            JobSpec::two_d_slice(
+                "gzip",
+                "train",
+                Scale::Tiny,
+                PredictorKind::Gshare4Kb,
+                2_000,
+            ),
+            JobSpec::two_d_slice(
+                "gzip",
+                "train",
+                Scale::Tiny,
+                PredictorKind::Gshare4Kb,
+                32_000,
+            ),
+        ];
+        let fused = Engine::new(EngineConfig {
+            jobs: 2,
+            bitslice: true,
+            ..EngineConfig::default()
+        });
+        let live = Engine::new(EngineConfig {
+            jobs: 2,
+            replay: false,
+            ..EngineConfig::default()
+        });
+        let a = fused.run_jobs(&specs);
+        let b = live.run_jobs(&specs);
+        for (x, y) in a.iter().zip(&b) {
+            assert!(x.status.is_success() && y.status.is_success());
+            assert_eq!(x.output, y.output, "{} diverged", x.spec.describe());
+        }
+        let c = fused.counters();
+        assert_eq!(c.traces_recorded, 1, "the overrides share the trace");
+        assert_eq!(c.replays, 4);
+        assert_eq!(c.bitsliced, 2, "only the auto-sliced jobs take lanes");
+        let slices = |r: &JobResult| match &r.output {
+            Some(JobOutput::Report(report)) => report.total_slices(),
+            other => panic!("not a report: {other:?}"),
+        };
+        let events = a[0].events();
+        assert_eq!(slices(&a[2]), events.div_ceil(2_000));
+        assert_eq!(slices(&a[3]), events.div_ceil(32_000));
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub struct ProfileRequest {
     predictor: Option<PredictorKind>,
     scale: Option<Scale>,
     mode: ProfileMode,
+    slice_len: Option<u64>,
 }
 
 impl ProfileRequest {
@@ -59,6 +60,7 @@ impl ProfileRequest {
             predictor,
             scale: None,
             mode,
+            slice_len: None,
         }
     }
 
@@ -88,6 +90,20 @@ impl ProfileRequest {
     #[must_use]
     pub fn scale(mut self, scale: Scale) -> Self {
         self.scale = Some(scale);
+        self
+    }
+
+    /// Overrides a 2D request's auto-scaled slice length with `slice_len`
+    /// dynamic branches (a [`JobKind::TwoDSlice`] job).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request is not a 2D request or `slice_len` is zero.
+    #[must_use]
+    pub fn slice_len(mut self, slice_len: u64) -> Self {
+        assert_eq!(self.mode, ProfileMode::TwoD, "only 2D requests have slices");
+        assert!(slice_len > 0, "slice_len must be positive");
+        self.slice_len = Some(slice_len);
         self
     }
 
@@ -128,12 +144,15 @@ impl ProfileRequest {
                 scale,
                 self.predictor.expect("accuracy request has a predictor"),
             ),
-            ProfileMode::TwoD => JobSpec::two_d(
-                &self.workload,
-                &self.input,
-                scale,
-                self.predictor.expect("2D request has a predictor"),
-            ),
+            ProfileMode::TwoD => {
+                let kind = self.predictor.expect("2D request has a predictor");
+                match self.slice_len {
+                    None => JobSpec::two_d(&self.workload, &self.input, scale, kind),
+                    Some(len) => {
+                        JobSpec::two_d_slice(&self.workload, &self.input, scale, kind, len)
+                    }
+                }
+            }
         }
     }
 
@@ -207,6 +226,29 @@ mod tests {
             spec,
             JobSpec::two_d("gap", "ref", Scale::Small, PredictorKind::Perceptron16Kb)
         );
+    }
+
+    #[test]
+    fn slice_override_resolves_to_its_own_kind() {
+        let req = ProfileRequest::two_d("gzip", PredictorKind::Gshare4Kb).slice_len(8_000);
+        assert_eq!(req.mode(), ProfileMode::TwoD);
+        let spec = req.to_spec(Scale::Tiny);
+        assert_eq!(
+            spec.kind,
+            JobKind::TwoDSlice(PredictorKind::Gshare4Kb, 8_000)
+        );
+        assert_eq!(spec.describe(), "twod-gshare4kb-slice8000 gzip/train @tiny");
+        // the override replays the same trace as the plain 2D request
+        assert_eq!(
+            req.trace_ref(Scale::Tiny),
+            ProfileRequest::two_d("gzip", PredictorKind::Gshare4Kb).trace_ref(Scale::Tiny)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "only 2D requests have slices")]
+    fn slice_override_needs_a_2d_request() {
+        let _ = ProfileRequest::accuracy("gzip", PredictorKind::Gshare4Kb).slice_len(8_000);
     }
 
     #[test]

@@ -38,6 +38,13 @@ pub enum JobKind {
     /// predictor-independent, so one trace job feeds every simulation of
     /// its (workload, input, scale) trio.
     Trace,
+    /// A 2D-profiling run like [`TwoD`](Self::TwoD), but with the given
+    /// slice length (in dynamic branches) instead of the auto-scaled one.
+    /// The exec threshold follows
+    /// [`SliceConfig::for_len`](twodprof_core::SliceConfig::for_len). The
+    /// slice-length ablation runs these; a decoded spec never carries a
+    /// zero length.
+    TwoDSlice(PredictorKind, u64),
 }
 
 impl JobKind {
@@ -48,6 +55,7 @@ impl JobKind {
             JobKind::Accuracy(k) => format!("acc-{}", k.id()),
             JobKind::TwoD(k) => format!("twod-{}", k.id()),
             JobKind::Trace => "trace".to_owned(),
+            JobKind::TwoDSlice(k, len) => format!("twod-{}-slice{len}", k.id()),
         }
     }
 }
@@ -110,6 +118,23 @@ impl JobSpec {
         }
     }
 
+    /// A 2D-profiling job with a slice-length override (see
+    /// [`JobKind::TwoDSlice`]).
+    pub fn two_d_slice(
+        workload: &str,
+        input: &str,
+        scale: Scale,
+        kind: PredictorKind,
+        slice_len: u64,
+    ) -> Self {
+        Self {
+            workload: workload.to_owned(),
+            input: input.to_owned(),
+            scale,
+            kind: JobKind::TwoDSlice(kind, slice_len),
+        }
+    }
+
     /// A trace-recording job.
     pub fn trace(workload: &str, input: &str, scale: Scale) -> Self {
         Self {
@@ -160,7 +185,10 @@ impl JobSpec {
     /// ```text
     /// spec := string(workload) string(input) scale-u8 kind-u8
     ///         [string(predictor-id)]          (accuracy / 2D kinds only)
+    ///         [varint(slice-len)]             (slice-override 2D only)
     /// ```
+    ///
+    /// Kind bytes: 0 count, 1 accuracy, 2 2D, 3 trace, 4 slice-override 2D.
     ///
     /// All strings are `varint(len)` + UTF-8 bytes, lengths capped at
     /// [`MAX_SPEC_NAME_LEN`] on the read side.
@@ -183,6 +211,11 @@ impl JobSpec {
                 write_name(buf, k.id());
             }
             JobKind::Trace => buf.push(3),
+            JobKind::TwoDSlice(k, len) => {
+                buf.push(4);
+                write_name(buf, k.id());
+                write_varint(buf, len).expect("vec write");
+            }
         }
     }
 
@@ -192,8 +225,8 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns `InvalidData` on over-long names (checked before any
-    /// allocation), unknown scale/kind bytes, or unknown predictor ids;
-    /// `UnexpectedEof` on truncation.
+    /// allocation), unknown scale/kind bytes, unknown predictor ids, or a
+    /// zero slice length; `UnexpectedEof` on truncation.
     pub fn decode_from(r: &mut &[u8]) -> io::Result<Self> {
         let workload = read_name(r)?;
         let input = read_name(r)?;
@@ -211,6 +244,13 @@ impl JobSpec {
             1 => JobKind::Accuracy(read_predictor(r)?),
             2 => JobKind::TwoD(read_predictor(r)?),
             3 => JobKind::Trace,
+            4 => {
+                let kind = read_predictor(r)?;
+                match read_varint(r)? {
+                    0 => return Err(invalid("slice length is zero")),
+                    len => JobKind::TwoDSlice(kind, len),
+                }
+            }
             other => return Err(invalid(format!("unknown job-kind byte {other:#04x}"))),
         };
         Ok(Self {
@@ -316,6 +356,7 @@ mod tests {
             JobSpec::accuracy("mcf", "ext-1", Scale::Small, PredictorKind::Gshare4Kb),
             JobSpec::two_d("gap", "train", Scale::Full, PredictorKind::Perceptron16Kb),
             JobSpec::trace("parser", "ref", Scale::Tiny),
+            JobSpec::two_d_slice("vpr", "train", Scale::Small, PredictorKind::Tage8Kb, 1),
         ];
         for spec in &specs {
             let mut buf = Vec::new();
@@ -370,6 +411,82 @@ mod tests {
             .expect("id embedded");
         bad[pos] = b'x';
         assert!(JobSpec::decode_from(&mut bad.as_slice()).is_err());
+    }
+
+    /// Cache keys, file names and wire bytes of the existing kinds are a
+    /// compatibility contract: disk caches, fabric nodes and committed
+    /// digests all depend on them. Adding a kind must leave these
+    /// literals untouched.
+    #[test]
+    fn existing_kinds_keep_their_hash_file_name_and_wire_bytes() {
+        let pinned: [(JobSpec, u64, &str, &[u8]); 3] = [
+            (
+                JobSpec::count("gzip", "train", Scale::Tiny),
+                0x43cc_cdcb_6e3a_9462,
+                "gzip-train-tiny-count-43cccdcb6e3a9462.bin",
+                b"\x04gzip\x05train\x00\x00",
+            ),
+            (
+                JobSpec::accuracy("mcf", "ext-1", Scale::Small, PredictorKind::Gshare4Kb),
+                0x2c21_3077_1b9f_9cb8,
+                "mcf-ext-1-small-acc-gshare4kb-2c2130771b9f9cb8.bin",
+                b"\x03mcf\x05ext-1\x01\x01\x09gshare4kb",
+            ),
+            (
+                JobSpec::two_d("gap", "train", Scale::Full, PredictorKind::Perceptron16Kb),
+                0xf988_06d7_d437_a97f,
+                "gap-train-full-twod-perceptron16kb-f98806d7d437a97f.bin",
+                b"\x03gap\x05train\x02\x02\x0eperceptron16kb",
+            ),
+        ];
+        for (spec, hash, file, wire) in pinned {
+            assert_eq!(spec.content_hash(), hash, "{}", spec.describe());
+            assert_eq!(spec.cache_file_name(), file);
+            let mut buf = Vec::new();
+            spec.encode_into(&mut buf);
+            assert_eq!(buf, wire, "{}", spec.describe());
+        }
+        assert_eq!(CACHE_SCHEMA_VERSION, 2);
+    }
+
+    #[test]
+    fn slice_kind_has_its_own_key_and_rejects_truncation() {
+        let spec = JobSpec::two_d_slice(
+            "gzip",
+            "train",
+            Scale::Tiny,
+            PredictorKind::Gshare4Kb,
+            512_000,
+        );
+        assert!(spec
+            .cache_file_name()
+            .starts_with("gzip-train-tiny-twod-gshare4kb-slice512000-"));
+        // distinct from the auto-sliced 2D job and from other lengths
+        let plain = JobSpec::two_d("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb);
+        let other = JobSpec::two_d_slice(
+            "gzip",
+            "train",
+            Scale::Tiny,
+            PredictorKind::Gshare4Kb,
+            2_000,
+        );
+        assert_ne!(spec.content_hash(), plain.content_hash());
+        assert_ne!(spec.content_hash(), other.content_hash());
+        // every truncation fails cleanly, the slice-length varint included
+        let mut buf = Vec::new();
+        spec.encode_into(&mut buf);
+        for len in 0..buf.len() {
+            assert!(JobSpec::decode_from(&mut &buf[..len]).is_err());
+        }
+    }
+
+    #[test]
+    fn zero_slice_length_is_invalid_data_not_a_panic() {
+        let spec = JobSpec::two_d_slice("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb, 0);
+        let mut buf = Vec::new();
+        spec.encode_into(&mut buf);
+        let err = JobSpec::decode_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -9,28 +9,112 @@
 //! - [`run_slice`] sweeps the slice length;
 //! - [`run_tests_onoff`] disables each of the MEAN/STD/PAM tests in turn to
 //!   measure its contribution (design-choice ablation).
+//!
+//! The MEAN/STD/PAM tests only read end-of-run statistics, so the
+//! threshold and test sweeps profile each benchmark once and re-classify
+//! that one report per setting
+//! ([`with_thresholds`](twodprof_core::ProfileReport::with_thresholds)).
+//! A slice length changes the statistics themselves, so each length is its
+//! own engine job.
 
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
-use bpred::Gshare;
-use twodprof_core::{MeanThreshold, Metrics, SliceConfig, Thresholds, TwoDProfiler};
+use twodprof_core::{MeanThreshold, Metrics, Thresholds};
 use workloads::EXTENDED_BENCHMARKS;
+
+/// `STD_th` values of the threshold sweep.
+pub const STD_SWEEP: [f64; 5] = [0.01, 0.02, 0.04, 0.08, 0.16];
+
+/// `PAM_th` values of the threshold sweep.
+pub const PAM_SWEEP: [f64; 3] = [0.01, 0.05, 0.15];
+
+/// Slice lengths (dynamic branches) of the slice sweep.
+pub const SLICE_LENGTHS: [u64; 5] = [2_000, 8_000, 32_000, 128_000, 512_000];
+
+/// The test on/off configurations: disabling a test means making it
+/// never or always pass through an extreme threshold.
+pub const TEST_CONFIGS: [(&str, Thresholds); 4] = [
+    ("full (paper)", Thresholds::paper()),
+    (
+        "MEAN-test only (STD off)",
+        Thresholds {
+            mean: MeanThreshold::ProgramAccuracy,
+            std: f64::MAX,
+            pam: 0.05,
+        },
+    ),
+    (
+        "STD-test only (MEAN off)",
+        Thresholds {
+            mean: MeanThreshold::Fixed(0.0),
+            std: 0.04,
+            pam: 0.05,
+        },
+    ),
+    (
+        "no PAM filter",
+        Thresholds {
+            mean: MeanThreshold::ProgramAccuracy,
+            std: 0.04,
+            pam: 0.0,
+        },
+    ),
+];
+
+/// A threshold-sweep setting: the paper's MEAN rule with the given
+/// `STD_th` and `PAM_th`.
+fn swept(std: f64, pam: f64) -> Thresholds {
+    Thresholds {
+        mean: MeanThreshold::ProgramAccuracy,
+        std,
+        pam,
+    }
+}
+
+/// Every threshold setting the threshold and test on/off sweeps classify
+/// under, in table order.
+pub fn threshold_configs() -> Vec<Thresholds> {
+    STD_SWEEP
+        .iter()
+        .flat_map(|&std| PAM_SWEEP.iter().map(move |&pam| swept(std, pam)))
+        .chain(TEST_CONFIGS.iter().map(|&(_, t)| t))
+        .collect()
+}
+
+/// The gshare 2D request of benchmark `b`, with the slice-length override
+/// when one is given.
+fn two_d_request(b: &str, slice_len: Option<u64>) -> ProfileRequest {
+    let req = ProfileRequest::two_d(b, PredictorKind::Gshare4Kb);
+    match slice_len {
+        Some(len) => req.slice_len(len),
+        None => req,
+    }
+}
+
+/// The runs every ablation table reads: per extended benchmark, the gshare
+/// train/ref ground truth, the gshare 2D profile, and one 2D profile per
+/// slice length.
+pub fn plan() -> Vec<ProfileRequest> {
+    let mut plan = Vec::new();
+    for b in EXTENDED_BENCHMARKS {
+        plan.extend(Context::truth_plan(
+            &ProfileRequest::accuracy(b, PredictorKind::Gshare4Kb),
+            &["ref"],
+        ));
+        plan.push(two_d_request(b, None));
+        plan.extend(SLICE_LENGTHS.iter().map(|&len| two_d_request(b, Some(len))));
+    }
+    plan
+}
 
 /// Mean metrics over the extended benchmarks for an arbitrary thresholds +
 /// slice configuration, against train-vs-ref gshare ground truth.
 fn metrics_with(ctx: &mut Context, thresholds: Thresholds, slice_override: Option<u64>) -> Metrics {
     let mut all = Vec::new();
     for b in EXTENDED_BENCHMARKS {
-        let w = ctx.workload(b);
-        let input = w.input_set("train").expect("train exists");
-        let total = ctx.count(ProfileRequest::count(b));
-        let config = match slice_override {
-            Some(len) => SliceConfig::new(len, (len / 15_000).max(16).min(len - 1)),
-            None => SliceConfig::auto(total),
-        };
-        let mut prof = TwoDProfiler::new(w.sites().len(), Gshare::new_4kb(), config);
-        w.run(&input, &mut prof);
-        let report = prof.finish(thresholds);
+        let report = ctx
+            .two_d(two_d_request(b, slice_override))
+            .with_thresholds(thresholds);
         let gt = ctx.truth(
             ProfileRequest::accuracy(b, PredictorKind::Gshare4Kb),
             &["ref"],
@@ -53,17 +137,9 @@ pub fn run_thresholds(ctx: &mut Context) -> Table {
             "ACC-indep",
         ],
     );
-    for &std_th in &[0.01, 0.02, 0.04, 0.08, 0.16] {
-        for &pam_th in &[0.01, 0.05, 0.15] {
-            let m = metrics_with(
-                ctx,
-                Thresholds {
-                    mean: MeanThreshold::ProgramAccuracy,
-                    std: std_th,
-                    pam: pam_th,
-                },
-                None,
-            );
+    for std_th in STD_SWEEP {
+        for pam_th in PAM_SWEEP {
+            let m = metrics_with(ctx, swept(std_th, pam_th), None);
             t.row(vec![
                 format!("{std_th}"),
                 format!("{pam_th}"),
@@ -128,7 +204,7 @@ pub fn run_slice(ctx: &mut Context) -> Table {
         "Ablation: slice-length sensitivity (mean over 6 benchmarks, train-vs-ref)",
         &["slice_len", "COV-dep", "ACC-dep", "COV-indep", "ACC-indep"],
     );
-    for &len in &[2_000u64, 8_000, 32_000, 128_000, 512_000] {
+    for len in SLICE_LENGTHS {
         let m = metrics_with(ctx, Thresholds::paper(), Some(len));
         t.row(vec![
             len.to_string(),
@@ -154,35 +230,7 @@ pub fn run_tests_onoff(ctx: &mut Context) -> Table {
             "ACC-indep",
         ],
     );
-    // disabling a test = making it never/always pass via extreme thresholds
-    let configs: [(&str, Thresholds); 4] = [
-        ("full (paper)", Thresholds::paper()),
-        (
-            "MEAN-test only (STD off)",
-            Thresholds {
-                mean: MeanThreshold::ProgramAccuracy,
-                std: f64::MAX,
-                pam: 0.05,
-            },
-        ),
-        (
-            "STD-test only (MEAN off)",
-            Thresholds {
-                mean: MeanThreshold::Fixed(0.0),
-                std: 0.04,
-                pam: 0.05,
-            },
-        ),
-        (
-            "no PAM filter",
-            Thresholds {
-                mean: MeanThreshold::ProgramAccuracy,
-                std: 0.04,
-                pam: 0.0,
-            },
-        ),
-    ];
-    for (name, thresholds) in configs {
+    for (name, thresholds) in TEST_CONFIGS {
         let m = metrics_with(ctx, thresholds, None);
         t.row(vec![
             name.to_owned(),

@@ -5,6 +5,7 @@
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::{Bias2DProfiler, Metrics, SliceConfig, Thresholds};
+use workloads::Scale;
 
 /// Per-benchmark metrics of the accuracy-based and bias-based profilers
 /// against train-vs-ref gshare ground truth.
@@ -58,10 +59,20 @@ pub fn run(ctx: &mut Context) -> Table {
     t
 }
 
+/// The runs [`compute`] reads: every workload's gshare train/ref ground
+/// truth, gshare 2D profile and train branch count (the bias profiler
+/// itself runs live).
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    let mut plan = crate::fig10::plan(scale);
+    for w in workloads::suite(scale) {
+        plan.push(ProfileRequest::count(w.name()));
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn both_variants_produce_defined_metrics() {

@@ -18,14 +18,12 @@
 //! toolchain; their options match `twodprofd --help` / `twodprof-client
 //! --help`.
 
-use experiments::{
-    ablation, bias_cmp, detail, fig02, fig03, fig04_05, fig06_07, fig08, fig10, fig11_14, fig12_13,
-    fig15, fig16, table1, table2, table4, Context, PredictorKind, Table,
-};
+use experiments::registry::{self, Output, ALL, EXTRA};
+use experiments::{Context, ProfileRequest, Table};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use twodprof_engine::{full_grid, Engine, EngineConfig, JobBackend, JobStatus};
+use twodprof_engine::{Engine, EngineConfig, JobBackend, JobStatus};
 use twodprof_fabric::{FabricConfig, RemoteBackend};
 use workloads::Scale;
 
@@ -46,15 +44,6 @@ struct Args {
     nodes: Vec<String>,
     experiments: Vec<String>,
 }
-
-const ALL: &[&str] = &[
-    "fig2", "fig3", "fig4", "fig5", "table1", "table2", "fig6", "fig7", "fig8", "fig10", "fig11",
-    "fig12", "fig13", "fig14", "fig15", "table4", "fig16", "ablation", "bias2d", "predcmp",
-];
-
-/// Experiments accepted on the command line but not part of `all` (they
-/// take an argument or are drill-downs).
-const EXTRA: &[&str] = &["detail"];
 
 fn parse_args() -> Result<Args, String> {
     let mut scale = Scale::Full;
@@ -245,12 +234,17 @@ fn main() -> ExitCode {
         args.scale,
         args.experiments.len()
     );
-    // a full run's job grid is known up front: sweep it on the worker pool
-    // so individual experiments afterwards only hit warm memory
-    if ALL.iter().all(|e| args.experiments.iter().any(|x| x == e)) {
-        let specs = full_grid(args.scale);
+    // plan-then-execute: every requested experiment names the simulations
+    // it reads, their union runs as one batch on the worker pool, and the
+    // experiments afterwards only hit warm memory
+    let plan: Vec<ProfileRequest> = args
+        .experiments
+        .iter()
+        .flat_map(|e| registry::plan(e, args.scale))
+        .collect();
+    if !plan.is_empty() {
         let start = std::time::Instant::now();
-        let results = ctx.prewarm(&specs);
+        let results = ctx.run_plan(&plan);
         let (mut computed, mut cached, mut failed) = (0usize, 0usize, 0usize);
         for r in &results {
             match &r.status {
@@ -270,84 +264,14 @@ fn main() -> ExitCode {
     }
     for e in &args.experiments {
         let start = std::time::Instant::now();
-        match e.as_str() {
-            "fig2" => {
-                emit(&fig02::run(), "fig2", &args.out);
-                println!(
-                    "crossover misprediction rate: {:.2}% (paper: ~7%)\n",
-                    fig02::crossover() * 100.0
-                );
+        {
+            let _sp = twodprof_obs::span!(registry::span_name(e));
+            for output in registry::render(&mut ctx, e, registry::FIG16_REPEATS) {
+                match output {
+                    Output::Table { name, table } => emit(&table, &name, &args.out),
+                    Output::Note(text) => println!("{text}"),
+                }
             }
-            "fig3" => emit(&fig03::run(&mut ctx), "fig3", &args.out),
-            "fig4" => emit(&fig04_05::run_fig4(&mut ctx), "fig4", &args.out),
-            "fig5" => emit(&fig04_05::run_fig5(&mut ctx), "fig5", &args.out),
-            "table1" => emit(&table1::run(&mut ctx), "table1", &args.out),
-            "table2" => emit(&table2::run(&mut ctx), "table2", &args.out),
-            "fig6" | "fig7" => {
-                // both example-branch tables are produced together; emit the
-                // requested one
-                let tables = fig06_07::run(&mut ctx);
-                let idx = usize::from(e == "fig7");
-                emit(&tables[idx], e, &args.out);
-            }
-            "fig8" => {
-                emit(&fig08::run(&mut ctx, "gap"), "fig8", &args.out);
-                let pair = fig08::compute(&mut ctx, "gap");
-                let (dep, indep) = fig08::phase_summary(&pair);
-                let fmt = |ps: &[twodprof_core::Phase]| {
-                    ps.iter()
-                        .map(|p| format!("[{}..{}) {:.2}", p.start, p.end, p.mean))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                };
-                println!(
-                    "detected phases — dependent branch: {} | independent branch: {}
-",
-                    fmt(&dep),
-                    fmt(&indep)
-                );
-            }
-            "fig10" => emit(&fig10::run(&mut ctx), "fig10", &args.out),
-            "fig11" => emit(
-                &fig11_14::run(&mut ctx, PredictorKind::Gshare4Kb),
-                "fig11",
-                &args.out,
-            ),
-            "fig12" => emit(&fig12_13::run_fig12(&mut ctx), "fig12", &args.out),
-            "fig13" => emit(&fig12_13::run_fig13(&mut ctx), "fig13", &args.out),
-            "fig14" => emit(
-                &fig11_14::run(&mut ctx, PredictorKind::Perceptron16Kb),
-                "fig14",
-                &args.out,
-            ),
-            "fig15" => emit(&fig15::run(&mut ctx), "fig15", &args.out),
-            "table4" => emit(&table4::run(&mut ctx), "table4", &args.out),
-            "fig16" => emit(&fig16::run(&mut ctx, 7), "fig16", &args.out),
-            "ablation" => {
-                emit(
-                    &ablation::run_thresholds(&mut ctx),
-                    "ablation_thresholds",
-                    &args.out,
-                );
-                emit(&ablation::run_slice(&mut ctx), "ablation_slice", &args.out);
-                emit(
-                    &ablation::run_tests_onoff(&mut ctx),
-                    "ablation_tests",
-                    &args.out,
-                );
-                emit(&ablation::run_delta(&mut ctx), "ablation_delta", &args.out);
-            }
-            "bias2d" => emit(&bias_cmp::run(&mut ctx), "bias2d", &args.out),
-            "predcmp" => emit(
-                &experiments::predictors_cmp::run(&mut ctx),
-                "predcmp",
-                &args.out,
-            ),
-            other if other.starts_with("detail:") => {
-                let w = &other["detail:".len()..];
-                emit(&detail::run(&mut ctx, w), &format!("detail_{w}"), &args.out);
-            }
-            other => unreachable!("validated experiment {other}"),
         }
         eprintln!("[{e} done in {:.1?}]", start.elapsed());
     }

@@ -8,10 +8,16 @@
 //! content hash — is a read-through layer over the engine, holding `Arc`s
 //! so repeated lookups share one allocation instead of cloning `O(sites)`
 //! payloads.
+//!
+//! Runs are meant to be planned: each experiment module lists the requests
+//! it reads (`plan`), [`Context::run_plan`] executes their union as one
+//! parallel batch, and rendering afterwards only reads memory. A request no
+//! plan covered still resolves, one job at a time, and is counted in
+//! [`Context::fallbacks`].
 
 use bpred::AccuracyProfile;
 pub use bpred::PredictorKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use twodprof_core::{GroundTruth, ProfileReport, INPUT_DEPENDENCE_DELTA};
 use twodprof_engine::{
@@ -33,6 +39,8 @@ pub struct Context {
     engine: Option<Arc<Engine>>,
     /// Finished outputs keyed by [`JobSpec::content_hash`].
     results: HashMap<u64, JobOutput>,
+    /// Requests resolved one at a time because no plan covered them.
+    fallbacks: u64,
 }
 
 impl Context {
@@ -73,6 +81,7 @@ impl Context {
             backend,
             engine: None,
             results: HashMap::new(),
+            fallbacks: 0,
         }
     }
 
@@ -108,16 +117,27 @@ impl Context {
     ///
     /// Panics if the name is not in the suite.
     pub fn workload(&self, name: &str) -> Box<dyn Workload> {
-        workloads::by_name(name, self.scale).unwrap_or_else(|| panic!("unknown workload {name:?}"))
+        workload(name, self.scale)
     }
 
-    /// Runs `specs` on the backend and absorbs every successful result
-    /// into the in-memory map, so later lookups are pure cache hits.
-    /// Returns the per-job results (the `repro` binary reports their
-    /// status counts).
-    pub fn prewarm(&mut self, specs: &[JobSpec]) -> Vec<JobResult> {
+    /// Runs a plan — the requests one or more experiments will read — on
+    /// the backend as one batch, and absorbs every successful result into
+    /// the in-memory map so later lookups are pure memory hits. Requests
+    /// are deduplicated by content hash, and those already in memory are
+    /// skipped. Returns the per-job results of the batch (the `repro`
+    /// binary reports their status counts).
+    pub fn run_plan(&mut self, plan: &[ProfileRequest]) -> Vec<JobResult> {
         let _sp = twodprof_obs::span!("context.prewarm");
-        let results = self.backend.run_jobs(specs);
+        let mut seen = HashSet::new();
+        let specs: Vec<JobSpec> = plan
+            .iter()
+            .map(|req| req.to_spec(self.scale))
+            .filter(|spec| {
+                let key = spec.content_hash();
+                !self.results.contains_key(&key) && seen.insert(key)
+            })
+            .collect();
+        let results = self.backend.run_jobs(&specs);
         for result in &results {
             self.absorb(result);
         }
@@ -135,12 +155,19 @@ impl Context {
         }
     }
 
+    /// Requests resolved one job at a time because they were not in memory
+    /// — none of the plans run so far covered them.
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks
+    }
+
     /// Resolves a request to its output through the read-through cache.
     fn resolve(&mut self, spec: &JobSpec) -> JobOutput {
         if let Some(output) = self.results.get(&spec.content_hash()) {
             return output.clone();
         }
         let _sp = twodprof_obs::span!("context.resolve");
+        self.fallbacks += 1;
         let output = Self::expect_output(self.backend.run_one(spec));
         self.results.insert(spec.content_hash(), output.clone());
         output
@@ -189,6 +216,14 @@ impl Context {
         }
     }
 
+    /// The accuracy requests [`truth`](Self::truth) reads for the same
+    /// arguments: `base`, then `base` on each input in `others`.
+    pub fn truth_plan(base: &ProfileRequest, others: &[&str]) -> Vec<ProfileRequest> {
+        std::iter::once(base.clone())
+            .chain(others.iter().map(|name| base.clone().input(name)))
+            .collect()
+    }
+
     /// Ground truth from `base` (an accuracy request; its input is the
     /// reference run, `train` by default) against each input named in
     /// `others`, unioned — the paper's `base-ext1-k` sets.
@@ -218,12 +253,26 @@ impl Context {
 
     /// Names of a workload's extra (`ext-*`) input sets, in order.
     pub fn ext_inputs(&self, w: &dyn Workload) -> Vec<&'static str> {
-        w.input_sets()
-            .iter()
-            .map(|i| i.name)
-            .filter(|n| n.starts_with("ext-"))
-            .collect()
+        ext_inputs(w)
     }
+}
+
+/// Names of a workload's extra (`ext-*`) input sets, in order.
+pub fn ext_inputs(w: &dyn Workload) -> Vec<&'static str> {
+    w.input_sets()
+        .iter()
+        .map(|i| i.name)
+        .filter(|n| n.starts_with("ext-"))
+        .collect()
+}
+
+/// One workload of the suite at `scale`, by name.
+///
+/// # Panics
+///
+/// Panics if the name is not in the suite.
+pub fn workload(name: &str, scale: Scale) -> Box<dyn Workload> {
+    workloads::by_name(name, scale).unwrap_or_else(|| panic!("unknown workload {name:?}"))
 }
 
 #[cfg(test)]
@@ -280,13 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_absorbs_results_into_memory() {
+    fn run_plan_absorbs_results_into_memory() {
         let mut ctx = Context::new(Scale::Tiny);
-        let specs = vec![
-            JobSpec::count("gzip", "train", Scale::Tiny),
-            JobSpec::accuracy("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb),
+        let plan = vec![
+            ProfileRequest::count("gzip"),
+            ProfileRequest::accuracy("gzip", PredictorKind::Gshare4Kb),
+            // a duplicate runs once
+            ProfileRequest::count("gzip"),
         ];
-        let results = ctx.prewarm(&specs);
+        let results = ctx.run_plan(&plan);
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| r.status.is_success()));
         // both lookups must now be memory hits: the engine sees no new jobs
@@ -297,6 +348,21 @@ mod tests {
             ctx.engine().expect("local engine").counters().total(),
             before
         );
+        assert_eq!(ctx.fallbacks(), 0);
+        // a second run of a covered plan has nothing left to do
+        assert!(ctx.run_plan(&plan).is_empty());
+        // an unplanned request falls back to a single job
+        ctx.count(ProfileRequest::count("gap"));
+        assert_eq!(ctx.fallbacks(), 1);
+    }
+
+    #[test]
+    fn truth_plan_lists_what_truth_reads() {
+        let base = ProfileRequest::accuracy("gzip", PredictorKind::Gshare4Kb);
+        let mut ctx = Context::new(Scale::Tiny);
+        ctx.run_plan(&Context::truth_plan(&base, &["ref", "ext-1"]));
+        ctx.truth(base, &["ref", "ext-1"]);
+        assert_eq!(ctx.fallbacks(), 0);
     }
 
     #[test]

@@ -6,14 +6,13 @@
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::InputDependence;
+use workloads::Scale;
 
 /// Renders the per-branch detail table for `workload`.
 pub fn run(ctx: &mut Context, workload: &str) -> Table {
     let w = ctx.workload(workload);
     let report = ctx.two_d(ProfileRequest::two_d(workload, PredictorKind::Gshare4Kb));
-    let exts = ctx.ext_inputs(&*w);
-    let mut set = vec!["ref"];
-    set.extend(&exts);
+    let set = crate::fig11_14::max_set(ctx.scale(), workload);
     let gt = ctx.truth(
         ProfileRequest::accuracy(workload, PredictorKind::Gshare4Kb),
         &set,
@@ -70,10 +69,20 @@ pub fn run(ctx: &mut Context, workload: &str) -> Table {
     t
 }
 
+/// The runs [`run`] reads for `workload`: its gshare 2D profile and its
+/// gshare profiles on train, ref and every extra input set.
+pub fn plan(scale: Scale, workload: &str) -> Vec<ProfileRequest> {
+    let mut plan = Context::truth_plan(
+        &ProfileRequest::accuracy(workload, PredictorKind::Gshare4Kb),
+        &crate::fig11_14::max_set(scale, workload),
+    );
+    plan.push(ProfileRequest::two_d(workload, PredictorKind::Gshare4Kb));
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn detail_covers_every_site() {

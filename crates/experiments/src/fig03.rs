@@ -3,6 +3,7 @@
 
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
+use workloads::Scale;
 
 /// One benchmark's Figure 3 data point.
 #[derive(Clone, Debug)]
@@ -51,10 +52,15 @@ pub fn run(ctx: &mut Context) -> Table {
     t
 }
 
+/// The runs [`compute`] reads: every workload's gshare train and ref
+/// profiles.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    crate::gshare_train_ref_plan(scale)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn covers_all_benchmarks_sorted() {

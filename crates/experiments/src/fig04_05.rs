@@ -7,6 +7,7 @@
 use crate::tablefmt::pct;
 use crate::{accuracy_bin, Context, PredictorKind, ProfileRequest, Table, ACCURACY_BIN_LABELS};
 use twodprof_core::InputDependence;
+use workloads::Scale;
 
 /// Per-benchmark bin counts: `(dependent per bin, total observed per bin)`.
 #[derive(Clone, Debug, Default)]
@@ -118,10 +119,15 @@ pub fn headline(ctx: &mut Context) -> (f64, f64, f64) {
     )
 }
 
+/// The runs [`compute`] reads: every workload's gshare train and ref
+/// profiles.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    crate::gshare_train_ref_plan(scale)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn bins_partition_observed_branches() {

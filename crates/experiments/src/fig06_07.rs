@@ -10,6 +10,21 @@
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use btrace::SiteId;
+use workloads::Scale;
+
+/// The example branches: (title, workload, site name).
+const EXAMPLES: [(&str, &str, &str); 2] = [
+    (
+        "Figure 6: gap's T_INT type-check branch across input sets",
+        "gap",
+        "sum_operands_are_t_int",
+    ),
+    (
+        "Figure 7: gzip's hash-chain loop-exit branch across input sets",
+        "gzip",
+        "hash_chain_exit",
+    ),
+];
 
 fn site_named(w: &dyn workloads::Workload, name: &str) -> SiteId {
     let idx = w
@@ -62,18 +77,7 @@ pub fn measure(ctx: &mut Context, workload: &str, site_name: &str) -> Vec<Exampl
 /// tables.
 pub fn run(ctx: &mut Context) -> Vec<Table> {
     let mut tables = Vec::new();
-    for (title, workload, site) in [
-        (
-            "Figure 6: gap's T_INT type-check branch across input sets",
-            "gap",
-            "sum_operands_are_t_int",
-        ),
-        (
-            "Figure 7: gzip's hash-chain loop-exit branch across input sets",
-            "gzip",
-            "hash_chain_exit",
-        ),
-    ] {
+    for (title, workload, site) in EXAMPLES {
         let mut t = Table::new(title, &["input", "executions", "taken_rate", "misp_rate"]);
         for e in measure(ctx, workload, site) {
             t.row(vec![
@@ -88,10 +92,25 @@ pub fn run(ctx: &mut Context) -> Vec<Table> {
     tables
 }
 
+/// The runs [`run`] reads: the gshare profile of every input set of both
+/// example workloads. (The taken rates come from live edge-profile runs.)
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    EXAMPLES
+        .iter()
+        .flat_map(|&(_, workload, _)| {
+            crate::context::workload(workload, scale)
+                .input_sets()
+                .into_iter()
+                .map(move |input| {
+                    ProfileRequest::accuracy(workload, PredictorKind::Gshare4Kb).input(input.name)
+                })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn gap_type_check_shifts_between_train_and_ref() {

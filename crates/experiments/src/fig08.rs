@@ -5,6 +5,12 @@ use crate::{Context, PredictorKind, ProfileRequest, Table};
 use btrace::SiteId;
 use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
 
+/// The runs [`compute`] reads for `workload`: its train branch count (the
+/// series-recording profiler itself runs live).
+pub fn plan(workload: &str) -> Vec<ProfileRequest> {
+    vec![ProfileRequest::count(workload)]
+}
+
 /// The two selected example branches and their time series.
 #[derive(Clone, Debug)]
 pub struct SeriesPair {

@@ -4,6 +4,7 @@
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::Metrics;
+use workloads::Scale;
 
 /// Per-benchmark Figure 10 metrics.
 pub fn compute(ctx: &mut Context) -> Vec<(&'static str, Metrics)> {
@@ -38,10 +39,19 @@ pub fn run(ctx: &mut Context) -> Table {
     t
 }
 
+/// The runs [`compute`] reads: every workload's gshare train/ref ground
+/// truth and its gshare 2D profile.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    let mut plan = crate::gshare_train_ref_plan(scale);
+    for w in workloads::suite(scale) {
+        plan.push(ProfileRequest::two_d(w.name(), PredictorKind::Gshare4Kb));
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn independent_branch_metrics_are_high() {

@@ -4,20 +4,22 @@
 
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
-use workloads::EXTENDED_BENCHMARKS;
+use workloads::{Scale, EXTENDED_BENCHMARKS};
+
+/// The largest comparison set for a benchmark: `ref` and every extra
+/// input set.
+pub fn max_set(scale: Scale, workload: &str) -> Vec<&'static str> {
+    let w = crate::context::workload(workload, scale);
+    let mut set = vec!["ref"];
+    set.extend(crate::context::ext_inputs(&*w));
+    set
+}
 
 /// The cumulative comparison-set names for a benchmark: `base` is
 /// `[ref]`, `base-ext1` is `[ref, ext-1]`, and so on.
 pub fn cumulative_sets(ctx: &Context, workload: &str) -> Vec<Vec<&'static str>> {
-    let w = ctx.workload(workload);
-    let exts = ctx.ext_inputs(&*w);
-    let mut sets = vec![vec!["ref"]];
-    for k in 1..=exts.len() {
-        let mut v = vec!["ref"];
-        v.extend(&exts[..k]);
-        sets.push(v);
-    }
-    sets
+    let all = max_set(ctx.scale(), workload);
+    (1..=all.len()).map(|k| all[..k].to_vec()).collect()
 }
 
 /// Static input-dependent fraction for each cumulative set of one benchmark.
@@ -41,11 +43,11 @@ pub fn run(ctx: &mut Context, kind: PredictorKind) -> Table {
         }
         other => panic!("no figure is defined for the {other} target"),
     };
-    let max_sets = 1 + EXTENDED_BENCHMARKS
+    let max_sets = EXTENDED_BENCHMARKS
         .iter()
-        .map(|b| ctx.ext_inputs(&*ctx.workload(b)).len())
+        .map(|b| max_set(ctx.scale(), b).len())
         .max()
-        .unwrap_or(0);
+        .unwrap_or(1);
     let labels: Vec<String> = (0..max_sets)
         .map(|k| {
             if k == 0 {
@@ -73,10 +75,18 @@ pub fn run(ctx: &mut Context, kind: PredictorKind) -> Table {
     t
 }
 
+/// The runs [`run`] reads under the `kind` target: every extended
+/// benchmark's profiles on train, ref and each extra input set.
+pub fn plan(scale: Scale, kind: PredictorKind) -> Vec<ProfileRequest> {
+    EXTENDED_BENCHMARKS
+        .iter()
+        .flat_map(|b| Context::truth_plan(&ProfileRequest::accuracy(b, kind), &max_set(scale, b)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn fraction_grows_monotonically() {

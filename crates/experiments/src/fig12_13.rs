@@ -6,7 +6,7 @@ use crate::fig11_14::cumulative_sets;
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::Metrics;
-use workloads::EXTENDED_BENCHMARKS;
+use workloads::{Scale, EXTENDED_BENCHMARKS};
 
 /// Metrics of one benchmark for every cumulative ground-truth set, under
 /// `target` ground truth, profiling with the 4 KB gshare on train.
@@ -71,10 +71,19 @@ pub fn run_fig13(ctx: &mut Context) -> Table {
     t
 }
 
+/// The runs Figures 12 and 13 read: every extended benchmark's gshare 2D
+/// profile and its gshare profiles on train, ref and each extra input set.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    let mut plan = crate::fig11_14::plan(scale, PredictorKind::Gshare4Kb);
+    for b in EXTENDED_BENCHMARKS {
+        plan.push(ProfileRequest::two_d(b, PredictorKind::Gshare4Kb));
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn acc_dep_improves_with_more_input_sets() {

@@ -7,7 +7,7 @@ use crate::fig11_14::cumulative_sets;
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::Metrics;
-use workloads::EXTENDED_BENCHMARKS;
+use workloads::{Scale, EXTENDED_BENCHMARKS};
 
 /// Per-benchmark metrics with gshare profiling vs. perceptron ground truth.
 pub fn compute(ctx: &mut Context) -> Vec<(&'static str, Metrics)> {
@@ -43,10 +43,20 @@ pub fn run(ctx: &mut Context) -> Table {
     t
 }
 
+/// The runs [`compute`] reads: every extended benchmark's gshare 2D
+/// profile and its perceptron profiles on train, ref and each extra input
+/// set.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    let mut plan = crate::fig11_14::plan(scale, PredictorKind::Perceptron16Kb);
+    for b in EXTENDED_BENCHMARKS {
+        plan.push(ProfileRequest::two_d(b, PredictorKind::Gshare4Kb));
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn cross_predictor_profiling_still_works() {

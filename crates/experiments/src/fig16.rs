@@ -87,6 +87,15 @@ pub fn run(ctx: &mut Context, repeats: u32) -> Table {
     t
 }
 
+/// The runs [`run`] reads: each overhead benchmark's train branch count
+/// (the timed runs themselves are live).
+pub fn plan() -> Vec<ProfileRequest> {
+    OVERHEAD_BENCHMARKS
+        .iter()
+        .map(|b| ProfileRequest::count(b))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,6 +22,11 @@
 //! | [`bias_cmp`] | extension: predictor-free bias-based 2D profiling vs. the accuracy-based profiler |
 //! | [`detail`] | per-branch drill-down for one benchmark (the paper's extended-version tables) |
 //!
+//! Every module also lists the simulations it reads as a pure `plan`.
+//! [`registry`] maps experiment names to plans and renderers; the `repro`
+//! binary runs the union of the requested plans as one parallel batch
+//! ([`Context::run_plan`]) and then renders each experiment from memory.
+//!
 //! Run everything with the `repro` binary:
 //!
 //! ```text
@@ -43,6 +48,7 @@ pub mod fig12_13;
 pub mod fig15;
 pub mod fig16;
 pub mod predictors_cmp;
+pub mod registry;
 pub mod table1;
 pub mod table2;
 pub mod table4;
@@ -51,6 +57,20 @@ pub mod tablefmt;
 pub use context::{Context, PredictorKind};
 pub use tablefmt::Table;
 pub use twodprof_engine::{ProfileMode, ProfileRequest};
+
+/// Every workload's gshare train and ref profiles — the train-vs-ref
+/// ground truth most figures score against.
+fn gshare_train_ref_plan(scale: workloads::Scale) -> Vec<ProfileRequest> {
+    workloads::suite(scale)
+        .iter()
+        .flat_map(|w| {
+            Context::truth_plan(
+                &ProfileRequest::accuracy(w.name(), PredictorKind::Gshare4Kb),
+                &["ref"],
+            )
+        })
+        .collect()
+}
 
 /// Accuracy-bin boundaries used by Figures 4 and 5 (prediction accuracy in
 /// percent; bins are `[0,70) [70,80) [80,90) [90,95) [95,99) [99,100]`).

@@ -17,6 +17,7 @@
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::{GroundTruth, INPUT_DEPENDENCE_DELTA};
+use workloads::Scale;
 
 /// The predictor families compared: every named configuration in `bpred`.
 pub const TARGETS: &[PredictorKind] = &PredictorKind::EXTENDED;
@@ -50,10 +51,24 @@ pub fn run(ctx: &mut Context) -> Table {
     table
 }
 
+/// The runs [`run`] reads: every workload's train and ref profiles under
+/// every target.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    let mut plan = Vec::new();
+    for w in workloads::suite(scale) {
+        for &target in TARGETS {
+            plan.extend(Context::truth_plan(
+                &ProfileRequest::accuracy(w.name(), target),
+                &["ref"],
+            ));
+        }
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn all_targets_produce_rows() {

@@ -3,6 +3,7 @@
 
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
+use workloads::Scale;
 
 /// Renders Table 1.
 pub fn run(ctx: &mut Context) -> Table {
@@ -42,10 +43,15 @@ pub fn compute(ctx: &mut Context) -> Vec<(&'static str, f64, f64)> {
         .collect()
 }
 
+/// The runs [`run`] and [`compute`] read: every workload's gshare train
+/// and ref profiles.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    crate::gshare_train_ref_plan(scale)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn rates_are_sane() {

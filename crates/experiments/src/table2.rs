@@ -4,6 +4,7 @@
 
 use crate::tablefmt::count;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
+use workloads::Scale;
 
 /// Renders Table 2. Instruction counts are modeled as
 /// `branches x instructions_per_branch` (see `DESIGN.md`: the profiling
@@ -43,10 +44,24 @@ pub fn run(ctx: &mut Context) -> Table {
     t
 }
 
+/// The runs [`run`] reads: every workload's gshare train/ref ground truth,
+/// plus the count and gshare profile of its first two input sets.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    let mut plan = Vec::new();
+    for w in workloads::suite(scale) {
+        let base = ProfileRequest::accuracy(w.name(), PredictorKind::Gshare4Kb);
+        plan.extend(Context::truth_plan(&base, &["ref"]));
+        for input in w.input_sets().iter().take(2) {
+            plan.push(ProfileRequest::count(w.name()).input(input.name));
+            plan.push(base.clone().input(input.name));
+        }
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn two_rows_per_benchmark() {

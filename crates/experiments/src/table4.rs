@@ -5,7 +5,7 @@
 
 use crate::tablefmt::{count, pct};
 use crate::{Context, PredictorKind, ProfileRequest, Table};
-use workloads::EXTENDED_BENCHMARKS;
+use workloads::{Scale, EXTENDED_BENCHMARKS};
 
 /// Renders Table 4.
 pub fn run(ctx: &mut Context) -> Table {
@@ -61,17 +61,35 @@ pub fn run(ctx: &mut Context) -> Table {
     t
 }
 
+/// The runs [`run`] reads: for every extra input set of the extended
+/// benchmarks, its count and its gshare and perceptron profiles, plus the
+/// train profiles its ground truth compares against.
+pub fn plan(scale: Scale) -> Vec<ProfileRequest> {
+    let mut plan = Vec::new();
+    for b in EXTENDED_BENCHMARKS {
+        for input in crate::context::ext_inputs(&*crate::context::workload(b, scale)) {
+            plan.push(ProfileRequest::count(b).input(input));
+            for kind in [PredictorKind::Gshare4Kb, PredictorKind::Perceptron16Kb] {
+                plan.extend(Context::truth_plan(
+                    &ProfileRequest::accuracy(b, kind),
+                    &[input],
+                ));
+            }
+        }
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::Scale;
 
     #[test]
     fn covers_every_ext_input_of_extended_benchmarks() {
         let mut ctx = Context::new(Scale::Tiny);
         let expected: usize = EXTENDED_BENCHMARKS
             .iter()
-            .map(|b| ctx.ext_inputs(&*ctx.workload(b)).len())
+            .map(|b| crate::context::ext_inputs(&*ctx.workload(b)).len())
             .sum();
         let t = run(&mut ctx);
         assert_eq!(t.len(), expected);
