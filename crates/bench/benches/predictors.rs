@@ -1,10 +1,9 @@
-//! Raw predictor throughput on a recorded branch trace.
+//! Raw predictor throughput on a recorded branch trace, one row per named
+//! configuration (`PredictorKind::SURVEY`).
 
-use bpred::{
-    Bimodal, BranchPredictor, GAg, Gshare, LocalTwoLevel, Perceptron, StaticTaken, Tournament,
-};
+use bpred::{BranchPredictor, PredictorHost, PredictorKind};
 use btrace::Trace;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use twodprof_bench::{bench_scale, record};
 
 fn trace_for_bench() -> Trace {
@@ -12,65 +11,44 @@ fn trace_for_bench() -> Trace {
     record(&*w, "train")
 }
 
-fn run_trace<P: BranchPredictor>(trace: &Trace, predictor: &mut P) -> u64 {
-    let mut correct = 0u64;
-    for ev in trace.iter() {
-        let pc = bpred::site_pc(ev.site);
-        correct += (predictor.predict_and_train(pc, ev.taken) == ev.taken) as u64;
+/// Benchmarks the concrete predictor it is handed, so `predict_and_train`
+/// inlines into the loop as it does in the engine's replay.
+struct Bench<'g, 'c, 't> {
+    group: &'g mut BenchmarkGroup<'c>,
+    id: &'static str,
+    trace: &'t Trace,
+}
+
+impl PredictorHost for Bench<'_, '_, '_> {
+    type Out = ();
+
+    fn run<P: BranchPredictor + 'static>(self, mut predictor: P) {
+        let trace = self.trace;
+        self.group.bench_function(self.id, |b| {
+            b.iter(|| {
+                predictor.reset();
+                let mut correct = 0u64;
+                for ev in trace.iter() {
+                    let pc = bpred::site_pc(ev.site);
+                    correct += (predictor.predict_and_train(pc, ev.taken) == ev.taken) as u64;
+                }
+                correct
+            })
+        });
     }
-    correct
 }
 
 fn bench_predictors(c: &mut Criterion) {
     let trace = trace_for_bench();
     let mut group = c.benchmark_group("predictors");
     group.throughput(Throughput::Elements(trace.len() as u64));
-    group.bench_function("gshare-4KB", |b| {
-        let mut p = Gshare::new_4kb();
-        b.iter(|| {
-            p.reset();
-            run_trace(&trace, &mut p)
-        })
-    });
-    group.bench_function("perceptron-16KB", |b| {
-        let mut p = Perceptron::new_16kb();
-        b.iter(|| {
-            p.reset();
-            run_trace(&trace, &mut p)
-        })
-    });
-    group.bench_function("bimodal-12i", |b| {
-        let mut p = Bimodal::new(12);
-        b.iter(|| {
-            p.reset();
-            run_trace(&trace, &mut p)
-        })
-    });
-    group.bench_function("gag-12h", |b| {
-        let mut p = GAg::new(12);
-        b.iter(|| {
-            p.reset();
-            run_trace(&trace, &mut p)
-        })
-    });
-    group.bench_function("local-10i10h", |b| {
-        let mut p = LocalTwoLevel::new(10, 10);
-        b.iter(|| {
-            p.reset();
-            run_trace(&trace, &mut p)
-        })
-    });
-    group.bench_function("tournament-4KB", |b| {
-        let mut p = Tournament::new_4kb();
-        b.iter(|| {
-            p.reset();
-            run_trace(&trace, &mut p)
-        })
-    });
-    group.bench_function("static-taken", |b| {
-        let mut p = StaticTaken;
-        b.iter(|| run_trace(&trace, &mut p))
-    });
+    for kind in PredictorKind::SURVEY {
+        kind.host(Bench {
+            group: &mut group,
+            id: kind.id(),
+            trace: &trace,
+        });
+    }
     group.finish();
 }
 

@@ -35,6 +35,8 @@ mod kind;
 mod local;
 mod loop_pred;
 mod perceptron;
+#[cfg(test)]
+mod reference;
 mod sim;
 mod tage;
 mod tournament;

@@ -5,6 +5,18 @@
 
 use crate::BranchPredictor;
 
+/// Weights per stored row: the bias plus up to 63 history weights. Rows
+/// are padded to this fixed width, so the dot product and the update are
+/// straight-line loops over one 64-byte cache line that the compiler
+/// vectorises.
+const ROW: usize = 64;
+
+/// One fixed-width, cache-line-aligned vector of `i8` lanes: a weight row,
+/// or the bipolar input vector.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(64))]
+struct Lanes([i8; ROW]);
+
 /// Perceptron predictor: each table entry holds a bias weight plus one signed
 /// weight per global-history bit; the prediction is the sign of the dot
 /// product between the weights and the (bipolar) history.
@@ -14,12 +26,15 @@ use crate::BranchPredictor;
 /// `θ = ⌊1.93·h + 14⌋`.
 #[derive(Clone, Debug)]
 pub struct Perceptron {
-    num_entries: usize,
     history_bits: u32,
     theta: i32,
-    /// `num_entries` rows of `history_bits + 1` weights (bias first).
-    weights: Vec<i8>,
-    ghr: u64,
+    /// One row per entry: the bias weight, `history_bits` history weights,
+    /// then zero padding.
+    weights: Vec<Lanes>,
+    /// The inputs the weights multiply: `+1` for the bias, then `+1`/`−1`
+    /// per history bit (newest first) for taken/not taken, then `0` in the
+    /// padding lanes — so padding weights neither contribute nor train.
+    inputs: Lanes,
 }
 
 impl Perceptron {
@@ -37,11 +52,10 @@ impl Perceptron {
             "history_bits must be in 1..=63, got {history_bits}"
         );
         Self {
-            num_entries,
             history_bits,
             theta: (1.93 * history_bits as f64 + 14.0).floor() as i32,
-            weights: vec![0; num_entries * (history_bits as usize + 1)],
-            ghr: 0,
+            weights: vec![Lanes([0; ROW]); num_entries],
+            inputs: initial_inputs(history_bits),
         }
     }
 
@@ -63,72 +77,111 @@ impl Perceptron {
 
     #[inline]
     fn row(&self, pc: u64) -> usize {
-        ((pc >> 2) % self.num_entries as u64) as usize
+        ((pc >> 2) % self.weights.len() as u64) as usize
     }
 
-    /// Dot product of the selected weight row with the bipolar history.
+    /// Predicts the branch at `pc`, trains with `taken`, and returns the
+    /// prediction — one row selection and one dot product per event.
     #[inline]
-    fn output(&self, pc: u64) -> i32 {
-        let w = self.history_bits as usize + 1;
-        let row = &self.weights[self.row(pc) * w..(self.row(pc) + 1) * w];
-        let mut y = row[0] as i32; // bias weight (input fixed at +1)
-        for (i, &wi) in row.iter().enumerate().skip(1) {
-            let h_bit = (self.ghr >> (i - 1)) & 1;
-            if h_bit == 1 {
-                y += wi as i32;
+    fn step(&mut self, pc: u64, taken: bool) -> bool {
+        let row = self.row(pc);
+        let y = dot(&self.weights[row], &self.inputs);
+        let prediction = y >= 0;
+        if prediction != taken || y.abs() <= self.theta {
+            // strengthen each weight whose input agrees with the outcome
+            let w = &mut self.weights[row].0;
+            if taken {
+                for (w, &x) in w.iter_mut().zip(&self.inputs.0) {
+                    *w = w.saturating_add(x);
+                }
             } else {
-                y -= wi as i32;
+                for (w, &x) in w.iter_mut().zip(&self.inputs.0) {
+                    *w = w.saturating_sub(x);
+                }
             }
         }
-        y
+        self.shift_in(taken);
+        prediction
+    }
+
+    /// Shifts `taken` into history lane 1, moving every history lane up by
+    /// one. The lanes move as eight little-endian words, so the next dot
+    /// product loads whole words the stores wrote.
+    #[inline]
+    fn shift_in(&mut self, taken: bool) {
+        let lanes = &mut self.inputs.0;
+        let mut words = [0u64; ROW / 8];
+        for (word, chunk) in words.iter_mut().zip(lanes.as_chunks::<8>().0) {
+            *word = u64::from_le_bytes(chunk.map(|x| x as u8));
+        }
+        let mut carry = 0;
+        for word in &mut words {
+            (*word, carry) = ((*word << 8) | carry, *word >> 56);
+        }
+        // lane 0 stays the bias input, lane 1 is the new outcome
+        let outcome: u64 = if taken { 0x01 } else { 0xFF };
+        words[0] = (words[0] & !0xFFFF) | (outcome << 8) | 0x01;
+        // the lane shifted past the history returns to padding
+        let h = self.history_bits as usize;
+        if h + 1 < ROW {
+            words[(h + 1) / 8] &= !(0xFF << ((h + 1) % 8 * 8));
+        }
+        for (chunk, word) in lanes.as_chunks_mut::<8>().0.iter_mut().zip(words) {
+            *chunk = word.to_le_bytes().map(|b| b as i8);
+        }
     }
 }
 
+/// The input vector of an empty (all not-taken) history.
+fn initial_inputs(history_bits: u32) -> Lanes {
+    let mut inputs = Lanes([0; ROW]);
+    inputs.0[0] = 1;
+    inputs.0[1..=history_bits as usize].fill(-1);
+    inputs
+}
+
+/// Dot product of a weight row with the input vector. Each product is at
+/// most 128 in magnitude, so 64 of them sum within `i16`.
 #[inline]
-fn saturating_step(w: &mut i8, up: bool) {
-    *w = if up {
-        w.saturating_add(1)
-    } else {
-        w.saturating_sub(1)
-    };
+fn dot(weights: &Lanes, inputs: &Lanes) -> i32 {
+    weights
+        .0
+        .iter()
+        .zip(&inputs.0)
+        .map(|(&w, &x)| w as i16 * x as i16)
+        .fold(0i16, i16::wrapping_add) as i32
 }
 
 impl BranchPredictor for Perceptron {
     #[inline]
     fn predict(&self, pc: u64) -> bool {
-        self.output(pc) >= 0
+        dot(&self.weights[self.row(pc)], &self.inputs) >= 0
     }
 
     fn train(&mut self, pc: u64, taken: bool) {
-        let y = self.output(pc);
-        let predicted = y >= 0;
-        if predicted != taken || y.abs() <= self.theta {
-            let w = self.history_bits as usize + 1;
-            let start = self.row(pc) * w;
-            saturating_step(&mut self.weights[start], taken);
-            for i in 1..w {
-                let h_bit = (self.ghr >> (i - 1)) & 1 == 1;
-                // strengthen weight if history bit agrees with outcome
-                saturating_step(&mut self.weights[start + i], h_bit == taken);
-            }
-        }
-        self.ghr = (self.ghr << 1) | taken as u64;
+        self.step(pc, taken);
+    }
+
+    #[inline]
+    fn predict_and_train(&mut self, pc: u64, taken: bool) -> bool {
+        self.step(pc, taken)
     }
 
     fn reset(&mut self) {
-        self.weights.fill(0);
-        self.ghr = 0;
+        self.weights.fill(Lanes([0; ROW]));
+        self.inputs = initial_inputs(self.history_bits);
     }
 
     fn storage_bits(&self) -> usize {
-        self.weights.len() * 8
+        self.weights.len() * (self.history_bits as usize + 1) * 8
     }
 
     fn name(&self) -> String {
-        if self.num_entries == 457 && self.history_bits == 36 {
+        let num_entries = self.weights.len();
+        if num_entries == 457 && self.history_bits == 36 {
             "perceptron-16KB".to_owned()
         } else {
-            format!("perceptron-{}e{}h", self.num_entries, self.history_bits)
+            format!("perceptron-{}e{}h", num_entries, self.history_bits)
         }
     }
 }
@@ -205,6 +258,18 @@ mod tests {
             p.predict_and_train(0, true);
         }
         assert!(p.predict(0));
+    }
+
+    #[test]
+    fn padding_lanes_never_train() {
+        let mut p = Perceptron::new(3, 5);
+        for i in 0..5_000u64 {
+            p.predict_and_train(i % 3 * 4, i % 5 < 2);
+        }
+        for row in &p.weights {
+            assert!(row.0[6..].iter().all(|&w| w == 0), "padding trained");
+        }
+        assert!(p.inputs.0[6..].iter().all(|&x| x == 0));
     }
 
     #[test]

@@ -3,8 +3,27 @@
 //! with geometrically increasing history lengths. Included as a
 //! stronger-than-perceptron target option for the §5.3 cross-predictor
 //! study.
+//!
+//! # Folded history
+//!
+//! Each tagged table hashes its history length down to three widths: the
+//! index width and the two tag folds (9 and 8 bits). The twelve folds are
+//! kept in [`FoldedHistories`] registers and updated in O(1) per outcome,
+//! so a lookup never touches the raw history.
+//!
+//! The registers reproduce one quirk of the original from-scratch fold,
+//! which built its fold in a `u64` accumulator that overflowed: for a
+//! history longer than 64 bits, the top `64 % width` bits of the second
+//! history word fell off the accumulator, so history bits
+//! `[128 − 64 % width, 128)` never reach the fold (4 bits of the 130-bit
+//! table at width 10, 1 bit at width 9, none at width 8). The quirk is kept
+//! because the golden reports and the `repro` output digest depend on it;
+//! fixing it would change results and is a separate decision. The frozen
+//! from-scratch fold is `reference::fold_history`, the test oracle of every
+//! register.
 
 use crate::{Bimodal, BranchPredictor};
+use std::ops::Range;
 
 const NUM_TABLES: usize = 4;
 /// Geometric history lengths of the tagged tables.
@@ -19,18 +38,111 @@ struct TageEntry {
     useful: u8,
 }
 
+/// History bits that folding `len` bits into `width` bits through a `u64`
+/// accumulator loses (see the module docs).
+fn dropped_bits(len: u32, width: u32) -> Range<u32> {
+    if len <= 64 {
+        return 0..0;
+    }
+    (128 - 64 % width).min(len)..128.min(len)
+}
+
+/// Register lanes: the `NUM_TABLES × 3` folds padded to a whole number of
+/// 128-bit vectors, so every lane operation below vectorises.
+const LANES: usize = 16;
+/// Distinct history bits the registers tap (the bit leaving each table's
+/// window and the dropped-window edges of the 130-bit table), padded.
+const MAX_TAPS: usize = 8;
+
+/// The twelve folded-history registers, maintained incrementally as
+/// outcomes are pushed. Register `3t + k` holds table `t`'s history of
+/// `HIST_LENS[t]` bits XOR-folded into `[index_bits, 9, 8][k]` bits:
+/// history bit `i` lands on fold bit `i % width`, except the
+/// [`dropped_bits`].
+#[derive(Clone, Debug)]
+struct FoldedHistories {
+    value: [u16; LANES],
+    /// `1 << (width - 1)` per register (0 in padding lanes)
+    top: [u16; LANES],
+    /// `(1 << width) - 1` per register (0 in padding lanes)
+    mask: [u16; LANES],
+    /// History bits read on every push ...
+    tap_bits: [u32; MAX_TAPS],
+    /// ... and the fold bit each toggles per register (0 where none)
+    toggles: [[u16; LANES]; MAX_TAPS],
+}
+
+impl FoldedHistories {
+    fn new(index_bits: u32) -> Self {
+        let mut folds = Self {
+            value: [0; LANES],
+            top: [0; LANES],
+            mask: [0; LANES],
+            tap_bits: [0; MAX_TAPS],
+            toggles: [[0; LANES]; MAX_TAPS],
+        };
+        let mut num_taps = 0;
+        for (t, &len) in HIST_LENS.iter().enumerate() {
+            for (k, width) in [index_bits, 9, 8].into_iter().enumerate() {
+                let lane = 3 * t + k;
+                folds.top[lane] = 1 << (width - 1);
+                folds.mask[lane] = mask(width) as u16;
+                let dropped = dropped_bits(len, width);
+                let kept = |i: u32| i < len && !dropped.contains(&i);
+                // A push moves history bit j to j + 1, i.e. rotates the
+                // fold left by one. That is right for bit j exactly when j
+                // and j + 1 are both folded or both not; every other j is a
+                // tap, whose contribution the push toggles.
+                for j in (0..len).filter(|&j| kept(j) != kept(j + 1)) {
+                    let tap = match folds.tap_bits[..num_taps].iter().position(|&bit| bit == j) {
+                        Some(tap) => tap,
+                        None => {
+                            folds.tap_bits[num_taps] = j;
+                            num_taps += 1;
+                            num_taps - 1
+                        }
+                    };
+                    folds.toggles[tap][lane] ^= 1 << ((j + 1) % width);
+                }
+            }
+        }
+        folds
+    }
+
+    /// Folds in `taken` as the newest history bit; `ghist` is the history
+    /// before the push.
+    #[inline]
+    fn push(&mut self, taken: bool, ghist: &[u64; 4]) {
+        let taken = taken as u16;
+        // all-ones for each tap whose history bit is set
+        let on = self
+            .tap_bits
+            .map(|bit| 0u16.wrapping_sub(((ghist[bit as usize / 64] >> (bit % 64)) & 1) as u16));
+        for i in 0..LANES {
+            let v = self.value[i];
+            let wrapped = (v & self.top[i] != 0) as u16;
+            let mut next = (v << 1) | wrapped;
+            for (toggles, on) in self.toggles.iter().zip(on) {
+                next ^= toggles[i] & on;
+            }
+            self.value[i] = (next ^ taken) & self.mask[i];
+        }
+    }
+}
+
 /// TAGE-lite: longest-matching tagged table provides the prediction; the
 /// base bimodal catches the rest. Allocation on mispredictions follows the
 /// standard useful-counter policy.
 #[derive(Clone, Debug)]
 pub struct Tage {
     base: Bimodal,
-    tables: Vec<Vec<TageEntry>>,
+    /// `NUM_TABLES` tagged tables of `2^index_bits` entries, back to back.
+    tables: Vec<TageEntry>,
     index_bits: u32,
-    /// folded global history (up to 131 bits, stored as raw bits)
+    /// raw global history, newest outcome in bit 0 of word 0
     ghist: [u64; 4],
-    /// allocation tie-breaker, advanced deterministically per update
-    alloc_seed: u32,
+    /// per table: the index fold and the two tag folds
+    folds: FoldedHistories,
 }
 
 impl Tage {
@@ -47,10 +159,10 @@ impl Tage {
         );
         Self {
             base: Bimodal::new(index_bits + 1),
-            tables: vec![vec![TageEntry::default(); 1 << index_bits]; NUM_TABLES],
+            tables: vec![TageEntry::default(); NUM_TABLES << index_bits],
             index_bits,
             ghist: [0; 4],
-            alloc_seed: 0x9E37,
+            folds: FoldedHistories::new(index_bits),
         }
     }
 
@@ -59,54 +171,86 @@ impl Tage {
         Self::new(10)
     }
 
-    /// Folds the low `len` bits of global history into `bits` bits.
-    fn fold_history(&self, len: u32, bits: u32) -> u64 {
-        let mut folded = 0u64;
-        let mut taken_bits = 0u32;
-        let mut word = 0usize;
-        let mut offset = 0u32;
-        let mut acc = 0u64;
-        let mut acc_len = 0u32;
-        while taken_bits < len {
-            let chunk = (64 - offset).min(len - taken_bits);
-            let part = (self.ghist[word] >> offset) & mask(chunk);
-            acc |= part << acc_len;
-            acc_len += chunk;
-            while acc_len >= bits {
-                folded ^= acc & mask(bits);
-                acc >>= bits;
-                acc_len -= bits;
+    /// Each table's entry slot (into `tables`) and tag for `pc` under the
+    /// current history.
+    #[inline]
+    fn lookup(&self, pc: u64) -> ([usize; NUM_TABLES], [u16; NUM_TABLES]) {
+        let pc_index = (pc >> 2) ^ (pc >> (2 + self.index_bits as u64));
+        let mut slots = [0; NUM_TABLES];
+        let mut tags = [0; NUM_TABLES];
+        for (t, fold) in self
+            .folds
+            .value
+            .chunks_exact(3)
+            .take(NUM_TABLES)
+            .enumerate()
+        {
+            let idx = (pc_index ^ fold[0] as u64) & mask(self.index_bits);
+            slots[t] = (t << self.index_bits) | idx as usize;
+            let tag = (pc >> 2) ^ fold[1] as u64 ^ ((fold[2] as u64) << 1);
+            tags[t] = (tag & 0x1FF) as u16 | 0x200; // non-zero tags
+        }
+        (slots, tags)
+    }
+
+    /// Longest matching table, if any.
+    #[inline]
+    fn provider(&self, slots: &[usize; NUM_TABLES], tags: &[u16; NUM_TABLES]) -> Option<usize> {
+        (0..NUM_TABLES)
+            .rev()
+            .find(|&t| self.tables[slots[t]].tag == tags[t])
+    }
+
+    /// Predicts the branch at `pc`, trains with `taken`, and returns the
+    /// prediction — one lookup shared by the provider, its update and
+    /// allocation.
+    fn step(&mut self, pc: u64, taken: bool) -> bool {
+        let (slots, tags) = self.lookup(pc);
+        let provider = self.provider(&slots, &tags);
+        let prediction = match provider {
+            Some(t) => {
+                let e = &mut self.tables[slots[t]];
+                let prediction = e.ctr >= 4;
+                if taken {
+                    e.ctr = (e.ctr + 1).min(7);
+                } else {
+                    e.ctr = e.ctr.saturating_sub(1);
+                }
+                if prediction == taken {
+                    e.useful = (e.useful + 1).min(3);
+                } else {
+                    e.useful = e.useful.saturating_sub(1);
+                }
+                prediction
             }
-            taken_bits += chunk;
-            offset += chunk;
-            if offset == 64 {
-                offset = 0;
-                word += 1;
+            None => self.base.predict_and_train(pc, taken),
+        };
+        // allocate a longer-history entry on a misprediction
+        if prediction != taken {
+            let start = provider.map_or(0, |t| t + 1);
+            match (start..NUM_TABLES).find(|&t| self.tables[slots[t]].useful == 0) {
+                Some(t) => {
+                    self.tables[slots[t]] = TageEntry {
+                        tag: tags[t],
+                        ctr: if taken { 4 } else { 3 },
+                        useful: 0,
+                    };
+                }
+                None => {
+                    // age usefulness so future allocations succeed
+                    for &slot in &slots[start..] {
+                        let e = &mut self.tables[slot];
+                        e.useful = e.useful.saturating_sub(1);
+                    }
+                }
             }
         }
-        folded ^ (acc & mask(bits))
-    }
-
-    fn index(&self, pc: u64, table: usize) -> usize {
-        let h = self.fold_history(HIST_LENS[table], self.index_bits);
-        (((pc >> 2) ^ (pc >> (2 + self.index_bits as u64)) ^ h) & mask(self.index_bits)) as usize
-    }
-
-    fn tag(&self, pc: u64, table: usize) -> u16 {
-        let h = self.fold_history(HIST_LENS[table], 9);
-        let h2 = self.fold_history(HIST_LENS[table], 8) << 1;
-        (((pc >> 2) ^ h ^ h2) & 0x1FF) as u16 | 0x200 // non-zero tags
-    }
-
-    /// Longest matching table, if any, as `(table, index)`.
-    fn provider(&self, pc: u64) -> Option<(usize, usize)> {
-        (0..NUM_TABLES).rev().find_map(|ti| {
-            let idx = self.index(pc, ti);
-            (self.tables[ti][idx].tag == self.tag(pc, ti)).then_some((ti, idx))
-        })
+        self.push_history(taken);
+        prediction
     }
 
     fn push_history(&mut self, taken: bool) {
+        self.folds.push(taken, &self.ghist);
         let carry3 = self.ghist[2] >> 63;
         let carry2 = self.ghist[1] >> 63;
         let carry1 = self.ghist[0] >> 63;
@@ -117,90 +261,40 @@ impl Tage {
     }
 }
 
+/// The low `bits` bits set; every width here is at most 16.
 #[inline]
 fn mask(bits: u32) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
+    (1 << bits) - 1
 }
 
 impl BranchPredictor for Tage {
     fn predict(&self, pc: u64) -> bool {
-        match self.provider(pc) {
-            Some((ti, idx)) => self.tables[ti][idx].ctr >= 4,
+        let (slots, tags) = self.lookup(pc);
+        match self.provider(&slots, &tags) {
+            Some(t) => self.tables[slots[t]].ctr >= 4,
             None => self.base.predict(pc),
         }
     }
 
     fn train(&mut self, pc: u64, taken: bool) {
-        let provider = self.provider(pc);
-        let prediction = match provider {
-            Some((ti, idx)) => self.tables[ti][idx].ctr >= 4,
-            None => self.base.predict(pc),
-        };
-        let correct = prediction == taken;
-        match provider {
-            Some((ti, idx)) => {
-                let e = &mut self.tables[ti][idx];
-                if taken {
-                    e.ctr = (e.ctr + 1).min(7);
-                } else {
-                    e.ctr = e.ctr.saturating_sub(1);
-                }
-                if correct {
-                    e.useful = (e.useful + 1).min(3);
-                } else {
-                    e.useful = e.useful.saturating_sub(1);
-                }
-            }
-            None => self.base.train(pc, taken),
-        }
-        // allocate a longer-history entry on a misprediction
-        if !correct {
-            let start = provider.map(|(ti, _)| ti + 1).unwrap_or(0);
-            self.alloc_seed = self
-                .alloc_seed
-                .wrapping_mul(1664525)
-                .wrapping_add(1013904223);
-            let mut allocated = false;
-            for ti in start..NUM_TABLES {
-                let idx = self.index(pc, ti);
-                if self.tables[ti][idx].useful == 0 {
-                    self.tables[ti][idx] = TageEntry {
-                        tag: self.tag(pc, ti),
-                        ctr: if taken { 4 } else { 3 },
-                        useful: 0,
-                    };
-                    allocated = true;
-                    break;
-                }
-            }
-            if !allocated {
-                // age usefulness so future allocations succeed
-                for ti in start..NUM_TABLES {
-                    let idx = self.index(pc, ti);
-                    let e = &mut self.tables[ti][idx];
-                    e.useful = e.useful.saturating_sub(1);
-                }
-            }
-        }
-        self.push_history(taken);
+        self.step(pc, taken);
+    }
+
+    #[inline]
+    fn predict_and_train(&mut self, pc: u64, taken: bool) -> bool {
+        self.step(pc, taken)
     }
 
     fn reset(&mut self) {
         self.base.reset();
-        for t in &mut self.tables {
-            t.fill(TageEntry::default());
-        }
+        self.tables.fill(TageEntry::default());
         self.ghist = [0; 4];
-        self.alloc_seed = 0x9E37;
+        self.folds.value = [0; LANES];
     }
 
     fn storage_bits(&self) -> usize {
         // 10-bit tag + 3-bit ctr + 2-bit useful per tagged entry
-        self.base.storage_bits() + self.tables.iter().map(|t| t.len() * 15).sum::<usize>()
+        self.base.storage_bits() + self.tables.len() * 15
     }
 
     fn name(&self) -> String {
@@ -211,6 +305,7 @@ impl BranchPredictor for Tage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::fold_history;
     use crate::Gshare;
 
     #[test]
@@ -272,14 +367,43 @@ mod tests {
     }
 
     #[test]
-    fn history_folding_is_bounded() {
-        let mut p = Tage::new(8);
-        for i in 0..1_000u32 {
-            p.push_history(i % 3 == 0);
+    fn dropped_window_matches_accumulator_overflow() {
+        // 64 % 10 = 4 and 64 % 9 = 1 bits of the second history word fall
+        // off the u64 accumulator; widths dividing 64 lose nothing
+        assert_eq!(dropped_bits(130, 10), 124..128);
+        assert_eq!(dropped_bits(130, 9), 127..128);
+        assert!(dropped_bits(130, 8).is_empty());
+        assert!(dropped_bits(130, 16).is_empty());
+        assert!(dropped_bits(44, 10).is_empty());
+        for index_bits in 1..=16 {
+            // panics if the taps outgrow MAX_TAPS
+            let _ = FoldedHistories::new(index_bits);
         }
-        for (len, bits) in [(5u32, 8u32), (130, 10), (44, 9), (130, 63)] {
-            let f = p.fold_history(len, bits);
-            assert!(f <= mask(bits), "fold({len},{bits}) = {f:#x}");
+    }
+
+    #[test]
+    fn folded_registers_match_the_from_scratch_fold() {
+        // index widths that divide 64 (1, 8, 16) and ones that do not
+        // (3, 10), so the dropped-bit window is exercised
+        for index_bits in [1, 3, 8, 10, 16] {
+            let mut p = Tage::new(index_bits);
+            let mut x = 0x2545_F491_4F6C_DD1Du64 ^ index_bits as u64;
+            for push in 0..12_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // bias runs of equal outcomes now and then, as loops do
+                p.push_history(if push % 1000 < 300 { true } else { x & 1 == 1 });
+                for (t, regs) in p.folds.value.chunks_exact(3).take(NUM_TABLES).enumerate() {
+                    for (&reg, width) in regs.iter().zip([index_bits, 9, 8]) {
+                        assert_eq!(
+                            reg as u64,
+                            fold_history(&p.ghist, HIST_LENS[t], width),
+                            "index_bits {index_bits}, table {t}, width {width}, push {push}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -294,10 +418,8 @@ mod tests {
     #[test]
     fn tags_are_nonzero() {
         let p = Tage::new(8);
-        for table in 0..NUM_TABLES {
-            for pc in (0..64u64).map(|i| 0x4000 + i * 4) {
-                assert_ne!(p.tag(pc, table), 0);
-            }
+        for pc in (0..64u64).map(|i| 0x4000 + i * 4) {
+            assert!(p.lookup(pc).1.iter().all(|&tag| tag != 0));
         }
     }
 }
